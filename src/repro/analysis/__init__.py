@@ -1,6 +1,6 @@
 """Static and runtime analysis for the simulator.
 
-Five passes (see docs/ANALYSIS.md):
+Four passes (see docs/ANALYSIS.md):
 
 * :mod:`repro.analysis.guest` — CFG + def-use lint over assembled guest
   programs (workloads, PAL handler images, examples);
@@ -8,9 +8,6 @@ Five passes (see docs/ANALYSIS.md):
   for the pipeline (``REPRO_SANITIZE=1`` / ``MachineConfig.sanitize``);
 * :mod:`repro.analysis.archlint` — AST lint over ``src/repro`` itself
   (layering, ``__slots__`` on hot classes, nondeterminism sources);
-* :mod:`repro.analysis.parity` — semantic-drift diff between the
-  reference pipeline and the fused batched kernel (mutation/hook fact
-  sets, the ``# parity: elided`` ledger, SoA-column coverage);
 * :mod:`repro.analysis.restart` — abstract interpretation of PAL
   handler images proving they can be squashed and replayed on a
   back-to-back trap.

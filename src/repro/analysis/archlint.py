@@ -25,19 +25,10 @@ suite cannot see until they have already caused a silent regression):
   ``_SNAPSHOT_TRANSIENT`` tuple.  A field silently added to, say, the
   TLB but never serialized would make restore-then-run diverge from
   straight-through in ways no unit test of the TLB alone can catch.
-* ``layering-static-pass`` — the static kernel passes
-  (:mod:`repro.analysis.parity`, :mod:`repro.analysis.restart`) must
-  analyze the engine/pipeline layers as *source text*, never import
-  them: a linter that imports the code it lints cannot report on a tree
-  that fails to import.
-* ``missing-soa-columns`` / ``soa-declaration`` — batch classes in the
-  :data:`SOA_REQUIRED` table must declare their per-cell
-  structure-of-arrays columns in ``_SOA_COLUMNS`` (the parity pass then
-  verifies allocation/coverage against the digest surface), and every
-  declared column must be a real attribute.
-* ``parity-ledger-syntax`` — ``# parity:`` comments in ``engine/`` must
-  be well-formed ``elided(<fact>, <reason>)`` entries; a malformed one
-  is a dead suppression the parity pass would silently ignore.
+* ``layering-static-pass`` — the static kernel pass
+  (:mod:`repro.analysis.restart`) must analyze the pipeline layer as
+  *source text*, never import it: a linter that imports the code it
+  lints cannot report on a tree that fails to import.
 
 Suppression: append ``# lint: ok(rule)`` to the offending line.
 """
@@ -67,31 +58,21 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
         {"isa", "memory", "branch", "exceptions", "sim", "analysis", "faults"}
     ),
     # obs -> sim is type-only plus the lazily-imported engine
-    # fingerprint for manifests; obs -> engine is the lazily-imported
-    # backend name manifests record; obs -> workloads is the CLI
-    # building the programs it traces.
-    "obs": frozenset({"pipeline", "sim", "workloads", "engine"}),
+    # fingerprint for manifests; obs -> workloads is the CLI building
+    # the programs it traces.
+    "obs": frozenset({"pipeline", "sim", "workloads"}),
     # checkpoint sits above the whole machine model (it serializes every
     # layer) but below the experiment/analysis tooling that consumes it.
     "checkpoint": frozenset(
         {"isa", "memory", "branch", "pipeline", "exceptions", "sim", "workloads"}
     ),
-    # engine sits beside checkpoint: backends drive the whole machine
-    # model (core subclasses, batch loading via checkpoint warm state,
-    # the arch-digest oracle from faults.fuzz) but stay below the
-    # experiment/analysis tooling.  Everything below engine reaches it
-    # only through lazy imports of the registry (resolve_engine /
-    # core_class / get_backend).
-    "engine": frozenset(
-        {"isa", "memory", "branch", "pipeline", "exceptions", "sim",
-         "checkpoint", "faults"}
-    ),
+    # engine is the kernel-name check the benchmark harness imports; it
+    # imports nothing and nothing in the package imports it.
+    "engine": frozenset(),
     # sim -> checkpoint is lazily imported (warm cells in parallel.py,
     # Simulator.save/restore_checkpoint); checkpoint imports sim eagerly.
     # sim -> faults is the lazily-imported spec validation in
-    # MachineConfig and the worker-kill hook in parallel.py.  sim ->
-    # engine is the lazily-imported backend registry (run_cell,
-    # run_cell_batch, the cache key, perfbench).
+    # MachineConfig and the worker-kill hook in parallel.py.
     "sim": frozenset(
         {
             "isa",
@@ -103,11 +84,10 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
             "obs",
             "checkpoint",
             "faults",
-            "engine",
         }
     ),
     # serve sits at the top of the runtime stack, beside experiments:
-    # the service drives sim.parallel's cells/batches/cache, derives
+    # the service drives sim.parallel's cells and cache, derives
     # warm checkpoints, and embeds store stats in obs manifests.  It
     # must never import experiments or analysis, and nothing below it
     # may import serve (their allowed sets simply omit it).
@@ -122,7 +102,6 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
             "sim",
             "obs",
             "checkpoint",
-            "engine",
         }
     ),
     # experiments -> serve is the lazily-imported --server client path.
@@ -138,7 +117,6 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
             "analysis",
             "obs",
             "checkpoint",
-            "engine",
             "serve",
         }
     ),
@@ -158,8 +136,7 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     ),
     # faults sits beside analysis: the injector perturbs the machine
     # model, the fuzzer drives sim/workloads and uses the guest lint
-    # (analysis) as its validity oracle; faults -> engine is the
-    # engine-diff oracle running both backend kernels.
+    # (analysis) as its validity oracle.
     "faults": frozenset(
         {
             "isa",
@@ -172,13 +149,12 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
             "analysis",
             "obs",
             "checkpoint",
-            "engine",
         }
     ),
     # scenarios sits at the top of the testing stack: it composes the
     # fault generator (faults.progen), the exception layer's cause
-    # handlers, and the simulator into runnable scenario matrices, and
-    # runs both engine kernels through the digest oracle.  Nothing
+    # handlers, and the simulator into runnable scenario matrices and
+    # runs them through the digest oracle.  Nothing
     # below it may import it (no other allowed set names "scenarios").
     "scenarios": frozenset(
         {
@@ -192,32 +168,18 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
             "analysis",
             "obs",
             "checkpoint",
-            "engine",
             "faults",
         }
     ),
 }
 
 #: Per-module forbidden packages, stricter than :data:`ALLOWED_IMPORTS`:
-#: the static kernel passes read these layers as source text (AST) and
-#: must never import them at runtime, even though the ``analysis``
+#: the static kernel pass reads this layer as source text (AST) and
+#: must never import it at runtime, even though the ``analysis``
 #: package as a whole may.
 MODULE_FORBIDDEN: dict[str, frozenset[str]] = {
-    "analysis/parity.py": frozenset({"engine", "pipeline"}),
-    "analysis/restart.py": frozenset({"engine", "pipeline"}),
+    "analysis/restart.py": frozenset({"pipeline"}),
 }
-
-#: Classes (by repo-relative module path) that hold per-cell
-#: structure-of-arrays columns and must declare them in ``_SOA_COLUMNS``
-#: for the snapshot/digest protocol (coverage is verified by the parity
-#: pass; this rule guarantees the declaration exists).
-SOA_REQUIRED: dict[str, frozenset[str]] = {
-    "engine/batched.py": frozenset({"SweepBatch"}),
-}
-
-#: ``# parity:`` comments (the elision ledger in engine/) must parse.
-_LEDGER_COMMENT_RE = re.compile(r"#\s*parity:")
-_LEDGER_OK_RE = re.compile(r"#\s*parity:\s*elided\(\s*[^,()\s]+\s*,\s*[^()]+\)")
 
 #: Classes (by repo-relative module path) that must declare __slots__
 #: because they are allocated in the simulator's hot loop (see
@@ -280,10 +242,7 @@ def _is_deterministic_scope(rel: Path) -> bool:
     parts = rel.parts
     if not parts:
         return False
-    # Engine backends are alternate cycle kernels: anything
-    # nondeterministic there breaks the bit-identity contract with the
-    # reference core (see docs/PERFORMANCE.md).
-    if parts[0] in ("pipeline", "engine"):
+    if parts[0] == "pipeline":
         return True
     return parts[0] == "sim" and parts[-1] in _DETERMINISTIC_SIM
 
@@ -340,7 +299,7 @@ class _ModuleChecker(ast.NodeVisitor):
                 "layering-static-pass",
                 node.lineno,
                 f"{self.rel.as_posix()} must not import repro.{target}: "
-                "the static kernel passes analyze that layer as source "
+                "the static kernel pass analyzes that layer as source "
                 "text, never at runtime",
             )
             return
@@ -426,41 +385,7 @@ class _ModuleChecker(ast.NodeVisitor):
         snapshot_classes = SNAPSHOT_REQUIRED.get(self.rel.as_posix(), frozenset())
         if node.name in snapshot_classes:
             self._check_snapshot_protocol(node)
-        soa_classes = SOA_REQUIRED.get(self.rel.as_posix(), frozenset())
-        if node.name in soa_classes:
-            self._check_soa_declaration(node)
         self.generic_visit(node)
-
-    # -- SoA column declaration ----------------------------------------
-    def _check_soa_declaration(self, node: ast.ClassDef) -> None:
-        columns: set[str] | None = None
-        lineno = node.lineno
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "_SOA_COLUMNS"
-                    ):
-                        columns = self._string_tuple(stmt.value)
-                        lineno = stmt.lineno
-        if not columns:
-            self._emit(
-                "missing-soa-columns",
-                node.lineno,
-                f"batch class {node.name!r} must declare its per-cell "
-                "structure-of-arrays columns in a _SOA_COLUMNS tuple "
-                "(the parity pass verifies coverage against it)",
-            )
-            return
-        declared, _ = self._declared_attrs(node)
-        for column in sorted(columns - declared):
-            self._emit(
-                "soa-declaration",
-                lineno,
-                f"_SOA_COLUMNS names {column!r} but {node.name} declares "
-                "no such attribute",
-            )
 
     # -- checkpoint protocol coverage ----------------------------------
     @staticmethod
@@ -568,23 +493,6 @@ class _ModuleChecker(ast.NodeVisitor):
                 "_SNAPSHOT_TRANSIENT; restore would silently lose it",
             )
 
-    # -- parity elision ledger syntax ----------------------------------
-    def check_ledger_comments(self, source: str) -> None:
-        """Malformed ``# parity:`` comments in engine/ are dead ledger
-        entries the parity pass would silently skip."""
-        if self.package != "engine":
-            return
-        for line_no, line in enumerate(source.splitlines(), start=1):
-            if _LEDGER_COMMENT_RE.search(line) and not _LEDGER_OK_RE.search(
-                line
-            ):
-                self._emit(
-                    "parity-ledger-syntax",
-                    line_no,
-                    "malformed parity ledger comment; expected "
-                    "'# parity: elided(<fact>, <reason>)'",
-                )
-
     # -- nondeterministic set iteration --------------------------------
     @staticmethod
     def _is_unordered_set(expr: ast.expr) -> str | None:
@@ -647,7 +555,6 @@ def check_file(path: Path, rel: Path) -> list[Diagnostic]:
         ]
     checker = _ModuleChecker(rel, source)
     checker.visit(tree)
-    checker.check_ledger_comments(source)
     return checker.diagnostics
 
 

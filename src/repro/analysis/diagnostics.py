@@ -1,7 +1,7 @@
 """Shared diagnostic record for every analysis pass.
 
-All five passes (guest-program lint, pipeline sanitizer, architecture
-lint, kernel parity, handler restartability) report through one
+All four passes (guest-program lint, pipeline sanitizer, architecture
+lint, handler restartability) report through one
 machine-readable shape so the CLI can render them uniformly
 (``--format text`` / ``--format json`` / ``--format sarif``) and CI
 can gate on severity without caring which pass produced a finding.

@@ -1,78 +1,24 @@
-"""Pluggable simulation engine backends (``REPRO_ENGINE``).
+"""The name of the cycle kernel, for run headers.
 
-The engine registry is the seam between *what* a sweep cell computes
-(the machine model in ``repro.pipeline`` / ``repro.sim``) and *how*
-batches of cells are advanced:
-
-``reference``
-    The unmodified :class:`~repro.pipeline.core.SMTCore` kernel, one
-    cell at a time.  The default, and the oracle every other backend is
-    differentially verified against.
-``batched``
-    The structure-of-arrays lockstep driver over dispatch-fused cores
-    (:mod:`repro.engine.batched`); bit-identical results, ~2x sweep
-    throughput (see ``docs/PERFORMANCE.md`` and ``BENCH_batched.json``).
-
-Select a backend per process with ``REPRO_ENGINE=reference|batched``
-(experiment CLIs expose it as ``--engine``); the choice propagates to
-pool workers and is part of every result-cache key, so results from
-different backends can never be served for one another.
+The simulator has one cycle kernel, the reference
+:class:`~repro.pipeline.core.SMTCore`.  A ``REPRO_ENGINE`` that names
+any other kernel (a stale ``batched``, say) fails loudly here rather
+than letting a run be labelled with a kernel that did not run.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.engine.base import EngineBackend
-from repro.engine.batched import BatchedEngine, SweepBatch
-from repro.engine.core import BatchedSMTCore
-from repro.engine.reference import ReferenceEngine
-
-__all__ = [
-    "BatchedEngine",
-    "BatchedSMTCore",
-    "ENGINES",
-    "EngineBackend",
-    "ReferenceEngine",
-    "SweepBatch",
-    "core_class",
-    "get_backend",
-    "resolve_engine",
-]
-
-_REGISTRY: dict[str, type[EngineBackend]] = {
-    ReferenceEngine.name: ReferenceEngine,
-    BatchedEngine.name: BatchedEngine,
-}
-
-#: Registered backend names, reference first.
-ENGINES = tuple(_REGISTRY)
-
-DEFAULT_ENGINE = ReferenceEngine.name
+__all__ = ["resolve_engine"]
 
 
-def resolve_engine(name: str | None = None) -> str:
-    """Normalize an engine selection: explicit ``name`` wins, else
-    ``REPRO_ENGINE``, else the reference backend.  Unknown names raise
-    :class:`ValueError` here, at configuration time."""
-    if name is None or name == "":
-        name = os.environ.get("REPRO_ENGINE", "").strip() or DEFAULT_ENGINE
-    if name not in _REGISTRY:
+def resolve_engine() -> str:
+    """The kernel name: ``"reference"``.  Raises :class:`ValueError`
+    when ``REPRO_ENGINE`` names any other kernel."""
+    name = os.environ.get("REPRO_ENGINE", "").strip()
+    if name not in ("", "reference"):
         raise ValueError(
-            f"unknown engine {name!r}; pick one of {ENGINES}"
+            f"REPRO_ENGINE={name!r}: the only cycle kernel is 'reference'"
         )
-    return name
-
-
-def get_backend(name: str | None = None) -> EngineBackend:
-    """A fresh backend instance for ``name`` (resolved per
-    :func:`resolve_engine`)."""
-    return _REGISTRY[resolve_engine(name)]()
-
-
-def core_class(name: str | None = None):
-    """The ``SMTCore`` subclass a backend injects into single-cell
-    :class:`~repro.sim.simulator.Simulator` construction, or ``None``
-    for the reference kernel.  This is how non-batch surfaces
-    (``perfbench``, one-off runs) honour the engine selection."""
-    return _REGISTRY[resolve_engine(name)].core_cls
+    return "reference"

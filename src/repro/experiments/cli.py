@@ -61,14 +61,6 @@ def main(argv: list[str] | None = None) -> int:
         "or the CPU count); 1 forces the serial path",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        metavar="NAME",
-        help="engine backend for every grid (default: REPRO_ENGINE or "
-        "'reference'); backends are verified bit-identical, so this "
-        "changes wall-clock only, never results",
-    )
-    parser.add_argument(
         "--server",
         default=None,
         metavar="URL",
@@ -81,18 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         import os
 
         os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.engine is not None:
-        import os
-
-        from repro.engine import resolve_engine
-
-        # Validate up front (argparse-style error on typos), then let the
-        # environment carry the choice everywhere REPRO_JOBS already goes
-        # (run_cells, pool workers, the result-cache key).
-        try:
-            os.environ["REPRO_ENGINE"] = resolve_engine(args.engine)
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.server is not None:
         import os
 

@@ -209,7 +209,7 @@ def penalty_table(
             # Resolve the grid against a sweep service
             # (repro-experiments --server URL; see docs/SERVICE.md).
             # Results are bit-identical to the local path: the server
-            # runs the same engine batches under the same cache keys.
+            # runs the same cells under the same cache keys.
             from repro.serve.client import run_cells_via_server
 
             outcomes = run_cells_via_server(server, specs)

@@ -46,12 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(oracle self-test: the fuzzer must catch it)",
     )
     parser.add_argument(
-        "--engine-diff", action="store_true",
-        help="fuzz the batched engine kernel against the reference "
-        "kernel: every faulted run executes under both and must agree "
-        "exactly (digest, cycles, every counter)",
-    )
-    parser.add_argument(
         "--causes", default=None, metavar="LIST",
         help="comma-separated restartable-exception causes every case "
         f"targets ({', '.join(CAUSES)}); default rotates through all "
@@ -113,7 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         artifacts=args.artifacts,
         defect=args.defect,
         shrink=not args.no_shrink,
-        engine_diff=args.engine_diff,
         causes=causes,
         log=log,
         **kwargs,

@@ -14,15 +14,6 @@ The oracle stack, strongest first:
 3. **Termination** -- generated programs halt by construction, so a run
    exceeding its cycle bound is a hang, reported as a divergence.
 
-``--engine-diff`` swaps in a fourth, stricter oracle: instead of
-comparing mechanisms against the perfect reference, every mechanism's
-faulted run is executed twice -- once under the reference cycle kernel
-and once under the batched engine's fused kernel
-(:mod:`repro.engine.core`) -- and the two runs must agree *exactly*:
-same digest, same cycle count, same value for every pipeline counter,
-same injected-fault totals.  The engines are bit-identical by contract,
-so any daylight between them is an engine bug.
-
 Programs come from :mod:`repro.faults.progen` and are validated with the
 :mod:`repro.analysis` guest lint before use (an unlintable program is a
 generator bug, reported as such rather than fuzzed).
@@ -75,7 +66,6 @@ __all__ = [
     "make_case",
     "overrides_for_causes",
     "run_case",
-    "run_engine_diff_case",
     "shrink_case",
 ]
 
@@ -291,9 +281,6 @@ class RunOutcome:
     cycles: int = 0
     digest: tuple | None = None
     fault_counts: dict = field(default_factory=dict)
-    #: Every :class:`~repro.sim.stats.SimStats` counter; only populated
-    #: (and only compared) by the engine-diff oracle.
-    stats: dict = field(default_factory=dict)
 
 
 def run_program(
@@ -302,15 +289,8 @@ def run_program(
     faults: str,
     defect: str | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    core_cls=None,
 ) -> RunOutcome:
-    """One simulation to halt; sanitizer attached, faults per spec.
-
-    ``core_cls`` swaps in an engine backend's core class (engine-diff
-    mode); the run is driven through ``run_to`` either way so both
-    kernels execute their production batch-stepping path, not just
-    single ``step()`` calls.
-    """
+    """One simulation to halt; sanitizer attached, faults per spec."""
     program = make_program(
         case.program.source,
         regions=case.program.regions,
@@ -322,7 +302,7 @@ def run_program(
         sanitize=True,
         **case.config_overrides,
     )
-    sim = Simulator(program, config, core_cls=core_cls)
+    sim = Simulator(program, config)
     if defect is not None:
         DEFECTS[defect](sim)
     core = sim.core
@@ -371,19 +351,6 @@ def run_program(
         cycles=core.cycle,
         digest=arch_digest(sim),
         fault_counts=dict(core.faults.counts) if core.faults else {},
-        stats={
-            "sim": core.stats.as_dict(),
-            "mech": (
-                dataclasses.asdict(sim.mechanism.stats)
-                if sim.mechanism
-                else None
-            ),
-            "tlb": dataclasses.asdict(sim.dtlb.stats),
-            "branch": dataclasses.asdict(sim.bpu.stats),
-            "l1i": dataclasses.asdict(sim.hierarchy.l1i.stats),
-            "l1d": dataclasses.asdict(sim.hierarchy.l1d.stats),
-            "l2": dataclasses.asdict(sim.hierarchy.l2.stats),
-        },
     )
 
 
@@ -460,83 +427,6 @@ def run_case(
     return result
 
 
-def run_engine_diff_case(
-    case: FuzzCase,
-    defect: str | None = None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> CaseResult:
-    """Differential trial between engine *backends* for one case.
-
-    Every mechanism's faulted run executes twice -- under the reference
-    cycle kernel and under the batched engine's fused kernel -- and the
-    pair must agree exactly: same outcome, same digest, same cycle
-    count, same value for every counter, same injected-fault totals.
-    (``defect`` is accepted for signature compatibility with
-    :func:`run_case` but both kernels receive it, so it cannot cause an
-    engine divergence by itself.)
-    """
-    from repro.engine import core_class
-
-    batched_cls = core_class("batched")
-    result = CaseResult(case=case)
-    lint_errors = lint_program(case.program.source, unit=f"fuzz-{case.seed}")
-    if lint_errors:
-        result.divergences.append(
-            Divergence("generator", "lint", "; ".join(lint_errors))
-        )
-        return result
-
-    totals = {kind: 0 for kind in FAULT_KINDS}
-    for mechanism in MECHANISMS:
-        ref = run_program(
-            case, mechanism, faults=case.faults, defect=defect,
-            max_cycles=max_cycles,
-        )
-        bat = run_program(
-            case, mechanism, faults=case.faults, defect=defect,
-            max_cycles=max_cycles, core_cls=batched_cls,
-        )
-        result.cycles += ref.cycles + bat.cycles
-        for kind, count in ref.fault_counts.items():
-            totals[kind] += count
-        delta = _engine_delta(ref, bat)
-        if delta:
-            result.divergences.append(Divergence(mechanism, "engine", delta))
-    result.fault_counts = totals
-    return result
-
-
-def _engine_delta(ref: RunOutcome, bat: RunOutcome) -> str:
-    """Where a batched-kernel run disagrees with its reference twin
-    (empty string when they match exactly)."""
-    if (ref.ok, ref.reason) != (bat.ok, bat.reason):
-        return (
-            f"outcome: reference {ref.reason or 'ok'!s} "
-            f"vs batched {bat.reason or 'ok'!s} ({bat.detail})"
-        )
-    parts = []
-    if ref.detail != bat.detail:
-        parts.append(f"detail {ref.detail!r} vs {bat.detail!r}")
-    if ref.cycles != bat.cycles:
-        parts.append(f"cycles {ref.cycles} vs {bat.cycles}")
-    if ref.digest != bat.digest:
-        parts.append("digest: " + _digest_delta(ref.digest, bat.digest))
-    if ref.fault_counts != bat.fault_counts:
-        parts.append(
-            f"fault counts {ref.fault_counts} vs {bat.fault_counts}"
-        )
-    for group in ref.stats:
-        if ref.stats[group] != bat.stats.get(group):
-            bad = sorted(
-                k
-                for k in (ref.stats[group] or {})
-                if (ref.stats[group] or {}).get(k)
-                != (bat.stats.get(group) or {}).get(k)
-            ) if isinstance(ref.stats[group], dict) else []
-            parts.append(f"{group} counters differ ({bad[:4]})")
-    return "; ".join(parts)
-
-
 def _digest_delta(ref: tuple, got: tuple) -> str:
     """A short human-readable summary of where two digests differ."""
     ref_regs, ref_mem = ref
@@ -565,12 +455,10 @@ def _still_fails(
     case: FuzzCase,
     defect: str | None,
     max_cycles: int,
-    engine_diff: bool = False,
 ) -> bool:
     if lint_program(case.program.source, unit="shrink"):
         return False  # reduction broke validity; reject it
-    runner = run_engine_diff_case if engine_diff else run_case
-    return not runner(case, defect=defect, max_cycles=max_cycles).ok
+    return not run_case(case, defect=defect, max_cycles=max_cycles).ok
 
 
 def _with_ops(case: FuzzCase, ops: list, iters: int) -> FuzzCase:
@@ -593,14 +481,12 @@ def shrink_case(
     defect: str | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     max_attempts: int = 96,
-    engine_diff: bool = False,
 ) -> tuple[FuzzCase, int]:
     """Greedy delta-debugging over the op IR, then the iteration count.
 
     Removes op chunks (halves down to singletons) as long as the case
     still fails, then halves ``iters``.  Returns the reduced case and
-    the number of candidate evaluations spent.  ``engine_diff`` shrinks
-    against the engine-backend oracle instead of the mechanism one.
+    the number of candidate evaluations spent.
     """
     attempts = 0
     best = case
@@ -610,7 +496,7 @@ def shrink_case(
     while iters > 1 and attempts < max_attempts:
         candidate = _with_ops(best, best.program.ops, max(1, iters // 2))
         attempts += 1
-        if _still_fails(candidate, defect, max_cycles, engine_diff):
+        if _still_fails(candidate, defect, max_cycles):
             best = candidate
             iters = best.program.iters
         else:
@@ -629,7 +515,7 @@ def shrink_case(
                 continue
             candidate = _with_ops(best, candidate_ops, best.program.iters)
             attempts += 1
-            if _still_fails(candidate, defect, max_cycles, engine_diff):
+            if _still_fails(candidate, defect, max_cycles):
                 best = candidate
                 removed_any = True
             else:
@@ -643,7 +529,7 @@ def shrink_case(
     while iters > 1 and attempts < max_attempts:
         candidate = _with_ops(best, best.program.ops, max(1, iters // 2))
         attempts += 1
-        if _still_fails(candidate, defect, max_cycles, engine_diff):
+        if _still_fails(candidate, defect, max_cycles):
             best = candidate
             iters = best.program.iters
         else:
@@ -665,7 +551,6 @@ class FuzzReport:
     fault_counts: dict = field(default_factory=lambda: {k: 0 for k in FAULT_KINDS})
     failures: list = field(default_factory=list)
     defect: str | None = None
-    engine_diff: bool = False
     #: Cause filter the session was pinned to (None = seed rotation).
     causes: list | None = None
 
@@ -681,7 +566,6 @@ class FuzzReport:
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "fault_counts": dict(self.fault_counts),
             "defect": self.defect,
-            "engine_diff": self.engine_diff,
             "causes": list(self.causes) if self.causes is not None else None,
             "failures": list(self.failures),
         }
@@ -732,7 +616,6 @@ def fuzz(
     defect: str | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     shrink: bool = True,
-    engine_diff: bool = False,
     causes: tuple | None = None,
     log=None,
 ) -> FuzzReport:
@@ -740,9 +623,7 @@ def fuzz(
 
     Stops at the *first* failing case (after shrinking and writing its
     artifacts): one minimal reproducer beats a pile of noisy ones, and
-    CI wants fast signal.  ``engine_diff`` fuzzes the batched engine
-    kernel against the reference kernel (:func:`run_engine_diff_case`)
-    instead of the mechanisms against each other.  ``causes`` pins every
+    CI wants fast signal.  ``causes`` pins every
     case to one cause set (``None`` rotates the default corpus through
     :data:`CAUSE_ROTATION`).
     """
@@ -759,7 +640,7 @@ def fuzz(
     if budget_seconds is None and max_programs is None:
         max_programs = 20
     report = FuzzReport(
-        seed=seed, defect=defect, engine_diff=engine_diff,
+        seed=seed, defect=defect,
         causes=list(causes) if causes is not None else None,
     )
     start = time.monotonic()
@@ -774,8 +655,7 @@ def fuzz(
             break
         case = make_case(seed + case_index, causes=causes)
         case_index += 1
-        run_one = run_engine_diff_case if engine_diff else run_case
-        result = run_one(case, defect=defect, max_cycles=max_cycles)
+        result = run_case(case, defect=defect, max_cycles=max_cycles)
         report.programs += 1
         report.cycles += result.cycles
         for kind, count in result.fault_counts.items():
@@ -789,10 +669,7 @@ def fuzz(
         if result.ok:
             continue
         shrunk, attempts = (
-            shrink_case(
-                case, defect=defect, max_cycles=max_cycles,
-                engine_diff=engine_diff,
-            )
+            shrink_case(case, defect=defect, max_cycles=max_cycles)
             if shrink
             else (case, 0)
         )

@@ -32,7 +32,6 @@ _REQUIRED_KEYS = (
     "schema",
     "kind",
     "engine",
-    "engine_backend",
     "config_hash",
     "config",
     "mechanism",
@@ -60,7 +59,6 @@ def build_manifest(
     """Assemble the manifest for one finished run."""
     # Local import: repro.sim.parallel imports the simulator stack, which
     # imports this package via the pipeline core.
-    from repro.engine import resolve_engine
     from repro.sim.parallel import engine_fingerprint
 
     counters = {
@@ -75,9 +73,6 @@ def build_manifest(
         "schema": MANIFEST_SCHEMA,
         "kind": "repro-run-manifest",
         "engine": engine_fingerprint(),
-        # Which backend's cycle kernel produced the run (bit-identical
-        # by contract, recorded so every result stays traceable).
-        "engine_backend": resolve_engine(),
         "config_hash": config_hash(config),
         "config": dataclasses.asdict(config),
         "mechanism": result.mechanism,

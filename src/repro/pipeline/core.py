@@ -273,13 +273,6 @@ class SMTCore:
         Note the seed semantics are preserved exactly: targets are only
         checked *before* a step, so targets reached exactly when the
         clock runs out still report False.
-
-        This method is the reference root of the kernel-parity pass
-        (``repro-lint parity``): every state mutation and hook call
-        reachable from here must also appear in the fused kernel
-        (``engine/core.py:_run_to_fused``) or be declared in its
-        elision ledger.  Edits that add mutations or hooks here will
-        fail the lint until the fused kernel follows.
         """
         fast_forward = self.config.fast_forward
         step = self.step

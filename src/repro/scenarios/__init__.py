@@ -5,13 +5,12 @@ miss) plus instruction emulation.  This package composes *all* the
 restartable causes -- ITLB misses, unaligned-access fixups, emulated
 instructions (``brev``/``swint``), software interrupts -- into seeded,
 reproducible stress scenarios and runs them across every exception
-mechanism and both engine kernels with a digest oracle and Table-3-style
+mechanism with a digest oracle and Table-3-style
 per-cause cycle attribution.  See ``docs/SCENARIOS.md``.
 """
 
 from repro.scenarios.runner import (
-    ENGINES,
-    EngineRun,
+    MechanismRun,
     ScenarioResult,
     run_matrix,
     run_scenario,
@@ -25,8 +24,7 @@ from repro.scenarios.spec import (
 )
 
 __all__ = [
-    "ENGINES",
-    "EngineRun",
+    "MechanismRun",
     "MIX_STYLES",
     "SCENARIO_CAUSES",
     "ScenarioResult",

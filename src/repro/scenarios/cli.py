@@ -2,9 +2,8 @@
 
 Expands a base seed into the standard scenario matrix (every scenario
 cause alone, seeded pairs back-to-back, all-cause sweeps in every mix
-style), runs each scenario under the requested mechanisms and engine
-kernels, checks every digest against the perfect reference (and the two
-kernels against each other), and prints a Table-3-style per-cause cycle
+style), runs each scenario under the requested mechanisms, checks every digest
+against the perfect reference, and prints a Table-3-style per-cause cycle
 attribution.
 
 Exit codes: 0 -- every run agreed; 1 -- at least one scenario failed
@@ -20,7 +19,7 @@ import sys
 from pathlib import Path
 
 from repro.faults.fuzz import MECHANISMS
-from repro.scenarios.runner import ENGINES, run_matrix
+from repro.scenarios.runner import run_matrix
 from repro.scenarios.spec import generate_matrix
 
 #: Attribution table column order (stable for diffs and tests).
@@ -31,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-scenarios",
         description="Run randomized restartable-exception scenarios "
-        "across every mechanism and engine kernel.",
+        "across every mechanism.",
     )
     parser.add_argument(
         "--seed", type=int, default=0,
@@ -45,11 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanisms", default=None, metavar="LIST",
         help="comma-separated mechanisms to run "
         f"(default: {','.join(MECHANISMS)})",
-    )
-    parser.add_argument(
-        "--engines", default=None, metavar="LIST",
-        help="comma-separated engine kernels (default: "
-        f"{','.join(ENGINES)}; both enables the bit-identity check)",
     )
     parser.add_argument(
         "--max-cycles", type=int, default=None, metavar="N",
@@ -75,7 +69,7 @@ def _attribution_table(results) -> str:
     for result in results:
         lines.append(f"\n{result.spec.describe()}")
         lines.append(
-            f"  {'mechanism':14s} {'engine':9s} {'cycles':>8s}  "
+            f"  {'mechanism':14s} {'cycles':>8s}  "
             + "  ".join(f"{c:>18s}" for c in _CAUSE_ORDER)
         )
         for run in result.runs:
@@ -88,7 +82,7 @@ def _attribution_table(results) -> str:
                     f"{taken:>6d}/{handler_cycles:<8d}" if taken else f"{'-':>15s}"
                 )
             lines.append(
-                f"  {run.mechanism:14s} {run.engine:9s} {run.cycles:>8d}  "
+                f"  {run.mechanism:14s} {run.cycles:>8d}  "
                 + "  ".join(f"{c:>18s}" for c in cells)
             )
         lines.append("  (cells: exceptions taken / handler cycles)")
@@ -110,17 +104,6 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    engines = tuple(ENGINES)
-    if args.engines is not None:
-        engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
-        unknown = sorted(set(engines) - set(ENGINES))
-        if unknown:
-            print(
-                f"error: unknown engines {', '.join(unknown)} "
-                f"(known: {', '.join(ENGINES)})",
-                file=sys.stderr,
-            )
-            return 2
 
     log = (lambda msg: None) if args.quiet else (
         lambda msg: print(msg, flush=True)
@@ -129,9 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_cycles is not None:
         kwargs["max_cycles"] = args.max_cycles
     specs = generate_matrix(seed=args.seed, quick=args.quick)
-    results = run_matrix(
-        specs, mechanisms=mechanisms, engines=engines, log=log, **kwargs
-    )
+    results = run_matrix(specs, mechanisms=mechanisms, log=log, **kwargs)
 
     failed = [r for r in results if not r.ok]
     if args.artifacts is not None and failed:

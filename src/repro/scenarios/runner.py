@@ -1,15 +1,11 @@
-"""Run scenario specs: every mechanism, both engine kernels, one digest.
+"""Run scenario specs: every mechanism, one digest.
 
 For each :class:`~repro.scenarios.spec.ScenarioSpec` the runner:
 
 1. runs the *perfect* machine once to define the reference
    architectural digest (:func:`repro.faults.fuzz.arch_digest`);
-2. runs every requested mechanism under both engine backends (the
-   reference cycle kernel and the batched fused kernel), sanitizer
-   attached;
-3. checks every run's digest against the reference and the two kernels
-   against each other (digest, cycles, and every pipeline counter must
-   match exactly);
+2. runs every requested mechanism, sanitizer attached;
+3. checks every run's digest against the reference;
 4. folds the per-cause counters (``cause_taken`` / ``cause_squashes`` /
    ``cause_handler_cycles``) into a Table-3-style attribution: for each
    mechanism and cause, how many exceptions were taken and how many
@@ -21,7 +17,6 @@ bound is reported as a hang.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.analysis.sanitizer import SanitizerError
@@ -31,20 +26,17 @@ from repro.sim.config import MachineConfig
 from repro.sim.simulator import Simulator
 from repro.workloads.builder import make_program
 
-__all__ = ["EngineRun", "ScenarioResult", "run_scenario", "run_matrix"]
+__all__ = ["MechanismRun", "ScenarioResult", "run_scenario", "run_matrix"]
 
 #: Per-run cycle bound; scenario programs finish in a few thousand.
 DEFAULT_MAX_CYCLES = 2_000_000
 
-ENGINES = ("reference", "batched")
-
 
 @dataclass
-class EngineRun:
-    """One (mechanism, engine) simulation of a scenario."""
+class MechanismRun:
+    """One mechanism's simulation of a scenario."""
 
     mechanism: str
-    engine: str
     ok: bool = True
     reason: str = ""  # "", "sanitizer", "hang", "digest"
     detail: str = ""
@@ -52,6 +44,7 @@ class EngineRun:
     digest: tuple | None = None
     #: cause -> (taken, squashes, handler_cycles) from SimStats.
     attribution: dict = field(default_factory=dict)
+    #: Every :class:`~repro.sim.stats.SimStats` counter.
     stats: dict = field(default_factory=dict)
 
 
@@ -60,7 +53,7 @@ class ScenarioResult:
     """Everything one scenario produced, plus pass/fail verdicts."""
 
     spec: ScenarioSpec
-    runs: list[EngineRun] = field(default_factory=list)
+    runs: list[MechanismRun] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
     source: str = ""
 
@@ -80,7 +73,6 @@ class ScenarioResult:
             "runs": [
                 {
                     "mechanism": r.mechanism,
-                    "engine": r.engine,
                     "ok": r.ok,
                     "reason": r.reason,
                     "cycles": r.cycles,
@@ -122,21 +114,15 @@ def _run_one(
     program_source: str,
     regions: list,
     mechanism: str,
-    engine: str,
     max_cycles: int,
-) -> EngineRun:
-    core_cls = None
-    if engine != "reference":
-        from repro.engine import core_class
-
-        core_cls = core_class(engine)
+) -> MechanismRun:
     program = make_program(program_source, regions=regions, scenario_causes=True)
     config = MachineConfig(
         mechanism=mechanism, sanitize=True, **spec.config_overrides
     )
-    sim = Simulator(program, config, core_cls=core_cls)
+    sim = Simulator(program, config)
     core = sim.core
-    run = EngineRun(mechanism=mechanism, engine=engine)
+    run = MechanismRun(mechanism=mechanism)
     user = [
         t
         for t in core.threads
@@ -161,88 +147,55 @@ def _run_one(
     if run.ok:
         run.digest = arch_digest(sim)
         run.attribution = _attribution(sim)
-        run.stats = {
-            "sim": core.stats.as_dict(),
-            "mech": (
-                dataclasses.asdict(sim.mechanism.stats) if sim.mechanism else None
-            ),
-        }
+        run.stats = core.stats.as_dict()
     return run
 
 
 def run_scenario(
     spec: ScenarioSpec,
     mechanisms: tuple = MECHANISMS,
-    engines: tuple = ENGINES,
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> ScenarioResult:
-    """Run one spec across the mechanism x engine matrix."""
+    """Run one spec under every requested mechanism."""
     program = build_scenario_program(spec)
     result = ScenarioResult(spec=spec, source=program.source)
 
     reference = _run_one(
-        spec, program.source, program.regions, "perfect", "reference", max_cycles
+        spec, program.source, program.regions, "perfect", max_cycles
     )
     result.runs.append(reference)
     if not reference.ok:
         result.failures.append(
-            f"perfect/reference {reference.reason}: {reference.detail}"
+            f"perfect {reference.reason}: {reference.detail}"
         )
         return result
 
     for mechanism in mechanisms:
-        per_engine: dict[str, EngineRun] = {}
-        for engine in engines:
-            run = _run_one(
-                spec, program.source, program.regions, mechanism, engine,
-                max_cycles,
+        run = _run_one(
+            spec, program.source, program.regions, mechanism, max_cycles
+        )
+        result.runs.append(run)
+        if not run.ok:
+            result.failures.append(
+                f"{mechanism} {run.reason}: {run.detail[:200]}"
             )
-            result.runs.append(run)
-            per_engine[engine] = run
-            if not run.ok:
-                result.failures.append(
-                    f"{mechanism}/{engine} {run.reason}: {run.detail[:200]}"
-                )
-            elif run.digest != reference.digest:
-                run.ok = False
-                run.reason = "digest"
-                result.failures.append(
-                    f"{mechanism}/{engine} digest mismatch vs perfect"
-                )
-        if len(per_engine) == len(ENGINES) and all(
-            r.ok for r in per_engine.values()
-        ):
-            ref, bat = per_engine["reference"], per_engine["batched"]
-            if (ref.cycles, ref.digest, ref.stats) != (
-                bat.cycles,
-                bat.digest,
-                bat.stats,
-            ):
-                bad = [
-                    k
-                    for k in ref.stats.get("sim", {})
-                    if ref.stats["sim"][k] != bat.stats.get("sim", {}).get(k)
-                ]
-                result.failures.append(
-                    f"{mechanism} engine mismatch: cycles "
-                    f"{ref.cycles} vs {bat.cycles}, counters {bad[:4]}"
-                )
+        elif run.digest != reference.digest:
+            run.ok = False
+            run.reason = "digest"
+            result.failures.append(f"{mechanism} digest mismatch vs perfect")
     return result
 
 
 def run_matrix(
     specs: list[ScenarioSpec],
     mechanisms: tuple = MECHANISMS,
-    engines: tuple = ENGINES,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     log=None,
 ) -> list[ScenarioResult]:
     """Run every spec; returns all results (never stops early)."""
     results = []
     for spec in specs:
-        result = run_scenario(
-            spec, mechanisms=mechanisms, engines=engines, max_cycles=max_cycles
-        )
+        result = run_scenario(spec, mechanisms=mechanisms, max_cycles=max_cycles)
         results.append(result)
         if log is not None:
             status = "ok" if result.ok else "FAIL"

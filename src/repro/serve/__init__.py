@@ -12,7 +12,7 @@ and asyncio -- live in :mod:`repro.serve.client`; the experiment CLIs
 reach the service through ``repro-experiments --server URL``.
 
 Layering: ``serve`` sits at the top of the runtime stack (above
-``sim``/``engine``/``checkpoint``), beside ``experiments``; nothing
+``sim``/``checkpoint``), beside ``experiments``; nothing
 below it may import it (enforced by archlint).
 """
 

@@ -27,10 +27,7 @@ Subcommands:
     regression (the nightly ``loadgen-bench`` CI job).
 
 Ops knobs (``REPRO_SERVE_*``) are documented in ``docs/SERVICE.md``;
-flags override the environment.  ``--engine`` pins ``REPRO_ENGINE``
-for the server *and its pool workers* -- without it the backend is
-inherited from the caller's environment (see "Hermetic smoke runs" in
-docs/SERVICE.md for why smoke/loadgen resolve it explicitly).
+flags override the environment.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import argparse
 import asyncio
 import dataclasses
 import json
-import os
 import sys
 import tempfile
 
@@ -75,11 +71,6 @@ def _add_server_args(parser: argparse.ArgumentParser) -> None:
         help="LRU-evict above MB of pickles (default "
         "REPRO_SERVE_CACHE_MB; 0 = unlimited)",
     )
-    parser.add_argument(
-        "--engine", default=None, metavar="BACKEND",
-        help="pin the engine backend (sets REPRO_ENGINE for this "
-        "process and its pool workers; default: inherit environment)",
-    )
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
@@ -105,20 +96,12 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_engine(engine: str | None) -> None:
-    """Pin REPRO_ENGINE process-wide *before* any pool spawns, so the
-    workers inherit the same backend the server resolves with."""
-    if engine:
-        os.environ["REPRO_ENGINE"] = engine
-
-
 def _build_server(args: argparse.Namespace):
     from repro.serve.http import SweepHTTPServer
     from repro.serve.queue import JobQueue
     from repro.serve.service import SweepService
     from repro.serve.store import ContentStore
 
-    _apply_engine(getattr(args, "engine", None))
     store = ContentStore(
         directory=args.cache_dir,
         max_entries=args.cache_entries,
@@ -330,11 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     loadgen.add_argument("--insts", type=int, default=500)
     loadgen.add_argument("--warmup", type=int, default=120)
-    loadgen.add_argument(
-        "--engine", default=None, metavar="BACKEND",
-        help="pin the engine backend for every node (default: inherit "
-        "REPRO_ENGINE, else reference)",
-    )
     loadgen.add_argument(
         "--cluster-dir", default=None, metavar="DIR",
         help="cluster scratch root (default: fresh temp dir)",

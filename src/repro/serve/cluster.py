@@ -102,7 +102,7 @@ class LocalCluster:
         self.workers = workers
         self.handoff = handoff
         #: Extra environment for every node (hermetic smoke/loadgen runs
-        #: pin REPRO_ENGINE / REPRO_CACHE here).
+        #: pin REPRO_CACHE here).
         self.env = dict(env or {})
         ports = pick_ports(nodes)
         self.nodes: list[ClusterNode] = []

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import time
 from pathlib import Path
 
@@ -42,18 +41,9 @@ def percentile(samples: list[float], q: float) -> float:
     return ordered[index]
 
 
-def hermetic_env(engine: str | None) -> tuple[dict[str, str], str]:
-    """The environment every loadgen/smoke node runs under.
-
-    Precedence for the engine backend: explicit ``--engine`` flag, then
-    the caller's ``REPRO_ENGINE``, then the reference kernel -- resolved
-    *here* and pinned into the child environment, so a stray parent
-    variable can never silently change what a CI run measures
-    (docs/SERVICE.md "Hermetic smoke runs").  The cache is pinned on:
-    both harnesses exist to exercise the store.
-    """
-    resolved = engine or os.environ.get("REPRO_ENGINE") or "reference"
-    return {"REPRO_ENGINE": resolved, "REPRO_CACHE": "1"}, resolved
+#: The environment every loadgen/smoke node runs under: the cache is
+#: pinned on, because both harnesses exist to exercise the store.
+HERMETIC_ENV = {"REPRO_CACHE": "1"}
 
 
 async def _client(
@@ -94,7 +84,6 @@ def run_loadgen(args) -> dict:
     """Boot the cluster, run the storm, and assemble the report."""
     from repro.serve.cluster import LocalCluster
 
-    env, engine = hermetic_env(getattr(args, "engine", None))
     payload = {
         "workloads": args.workload,
         "mechanisms": args.mechanism,
@@ -109,7 +98,7 @@ def run_loadgen(args) -> dict:
         nodes=args.nodes,
         pools=1,
         workers=args.workers,
-        env=env,
+        env=HERMETIC_ENV,
     )
     with cluster:
         storm = asyncio.run(_run_storm(args, cluster.urls, payload))
@@ -125,7 +114,6 @@ def run_loadgen(args) -> dict:
     latencies = storm["latencies"]
     return {
         "kind": "repro-serve-loadgen",
-        "engine_backend": engine,
         "protocol": {
             "nodes": args.nodes,
             "workers_per_node": args.workers,

@@ -17,10 +17,9 @@ through three layers, cheapest first:
    unreachable owner degrades to local execution;
 4. the **worker pools** -- remaining cells are sharded by content
    address across one or more persistent ``ProcessPoolExecutor`` pools
-   and claimed in engine batches
-   (:func:`~repro.sim.parallel.run_cell_batch`), exactly like the
-   one-shot runner, so results are bit-identical to ``run_cells`` by
-   construction.
+   and claimed one cell at a time (:func:`~repro.sim.parallel.run_cell`),
+   exactly like the one-shot runner, so results are bit-identical to
+   ``run_cells`` by construction.
 
 Sweeps bigger than one connection's patience become persistent *jobs*
 (:mod:`repro.serve.queue`): submitted durably, drained in the
@@ -58,9 +57,7 @@ from repro.sim.parallel import (
     _worker_env,
     _worker_init,
     derive_warm_cells,
-    pool_batch_size,
     run_cell,
-    run_cell_batch,
 )
 from repro.sim.simulator import SimResult
 from repro.workloads.suite import BENCHMARK_NAMES
@@ -798,84 +795,61 @@ class SweepService:
 
     # -- simulation -----------------------------------------------------
     def _launch(self, to_start: list[tuple[str, CellSpec]]) -> None:
-        """Shard fresh cells and fire one task per engine batch."""
-        if not to_start:
-            return
-        by_shard: dict[int, list[tuple[str, CellSpec]]] = {}
+        """Fire one task per fresh cell, on its content address's shard."""
         for key, spec in to_start:
-            by_shard.setdefault(self._shard_for(key), []).append((key, spec))
-        for shard, group in by_shard.items():
-            workers = self.workers or 1
-            size = pool_batch_size(len(group), workers)
-            for start in range(0, len(group), size):
-                asyncio.ensure_future(
-                    self._run_batch(shard, group[start : start + size])
-                )
+            asyncio.ensure_future(self._run_cell(self._shard_for(key), key, spec))
 
-    async def _run_batch(
-        self, shard: int, keyed: list[tuple[str, CellSpec]]
-    ) -> None:
-        """Run one claimed batch on its shard and publish every cell.
+    async def _run_cell(self, shard: int, key: str, spec: CellSpec) -> None:
+        """Run one claimed cell on its shard and publish it.
 
         Mirrors the one-shot runner's self-healing ladder: a failed
-        batch claim (worker crash, broken pool) rebuilds the shard's
-        pool and retries cells one at a time; cells that still fail run
-        serially on the thread executor, which cannot crash away.
+        claim (worker crash, broken pool) rebuilds the shard's pool and
+        retries the cell there; a cell that still fails runs serially
+        on the thread executor, which cannot crash away.
         """
         loop = asyncio.get_running_loop()
-        specs = [spec for _, spec in keyed]
+        pool = self._shards()[shard]
         try:
-            results: list[SimResult | Exception] = list(
-                await loop.run_in_executor(
-                    self._shards()[shard], run_cell_batch, specs
-                )
+            result: SimResult | Exception = await loop.run_in_executor(
+                pool, run_cell, spec
             )
         except Exception:
-            results = await self._retry_cells(shard, specs)
-        for (key, spec), result in zip(keyed, results):
-            future = self._inflight.pop(key, None)
-            if isinstance(result, Exception):
-                # Deterministically failing cell: every waiter gets the
-                # error (re-running it could only fail identically).
-                if future is not None and not future.done():
-                    future.set_exception(result)
-                continue
-            await loop.run_in_executor(None, self.store.put, spec, result)
-            self.cells_simulated += 1
+            result = await self._retry_cell(shard, pool, spec)
+        future = self._inflight.pop(key, None)
+        if isinstance(result, Exception):
+            # Deterministically failing cell: every waiter gets the
+            # error (re-running it could only fail identically).
             if future is not None and not future.done():
-                future.set_result(result)
+                future.set_exception(result)
+            return
+        await loop.run_in_executor(None, self.store.put, spec, result)
+        self.cells_simulated += 1
+        if future is not None and not future.done():
+            future.set_result(result)
 
-    async def _retry_cells(
-        self, shard: int, specs: list[CellSpec]
-    ) -> list[SimResult | Exception]:
+    async def _retry_cell(
+        self, shard: int, failed: Executor | None, spec: CellSpec
+    ) -> SimResult | Exception:
         loop = asyncio.get_running_loop()
         executors = self._shards()
-        old = executors[shard]
-        if isinstance(old, ProcessPoolExecutor):
-            old.shutdown(wait=False, cancel_futures=True)
+        # A broken pool fails every claim outstanding on it; only the
+        # first of those retries replaces it, the rest reuse the new one.
+        if executors[shard] is failed and isinstance(failed, ProcessPoolExecutor):
+            failed.shutdown(wait=False, cancel_futures=True)
             executors[shard] = self._make_pool(
                 self.workers or max(1, (os.cpu_count() or 1) // len(executors))
             )
-        results: list[SimResult | Exception] = []
-        for spec in specs:
+        try:
+            return await loop.run_in_executor(executors[shard], run_cell, spec)
+        except Exception:
+            # Terminal degrade: in-process (thread executor) serial
+            # run, like run_cells' serial completion path.  A cell
+            # that *still* raises here fails deterministically; the
+            # error is routed to its waiters, never swallowed.
             try:
-                results.append(
-                    await loop.run_in_executor(
-                        executors[shard], run_cell, spec
-                    )
-                )
-            except Exception:
-                # Terminal degrade: in-process (thread executor) serial
-                # run, like run_cells' serial completion path.  A cell
-                # that *still* raises here fails deterministically; the
-                # error is routed to its waiters, never swallowed.
-                try:
-                    results.append(
-                        await loop.run_in_executor(None, run_cell, spec)
-                    )
-                except Exception as exc:
-                    results.append(exc)
-        return results
+                return await loop.run_in_executor(None, run_cell, spec)
+            except Exception as exc:
+                return exc
 
     # -- stats ----------------------------------------------------------
     def stats_dict(self) -> dict:

@@ -25,11 +25,9 @@ one node so consistent-hash forwarding must carry most of the grid,
 plus a persistent job that gets its node SIGKILLed mid-drain and must
 finish after restart with zero lost and zero duplicated cells.
 
-Both smokes run hermetically: the engine backend is resolved once
-(``--engine`` flag > ``REPRO_ENGINE`` > reference) and pinned into the
-server/cluster *and* this process before anything starts, so the
-serial in-process oracle always runs the same kernel the service did
-and a stray parent environment cannot skew the check.
+Both smokes run hermetically: the result cache is pinned on in the
+server/cluster *and* this process before anything starts, so a stray
+parent ``REPRO_CACHE=0`` cannot skew the check.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ class SmokeReport:
 
     clients: int = 0
     nodes: int = 1
-    engine_backend: str = ""
     grid_cells: int = 0
     cells_requested: int = 0
     cells_simulated: int = 0
@@ -74,17 +71,15 @@ async def run_smoke(args) -> SmokeReport:
 
     from repro.serve.cli import _build_server
     from repro.serve.client import async_sweep, decode_result
-    from repro.serve.loadgen import hermetic_env
+    from repro.serve.loadgen import HERMETIC_ENV
     from repro.sim.parallel import run_cell
     from repro.serve.service import expand_sweep
 
-    # Hermetic run: resolve the backend now and pin it (plus the cache)
-    # into this process before the server -- and its pool workers --
+    # Pin the environment before the server -- and its pool workers --
     # exist, so nothing is silently inherited from the caller.
-    env, engine = hermetic_env(getattr(args, "engine", None))
-    os.environ.update(env)
+    os.environ.update(HERMETIC_ENV)
 
-    report = SmokeReport(clients=args.clients, engine_backend=engine)
+    report = SmokeReport(clients=args.clients)
     payload = {
         "workloads": args.workload,
         "mechanisms": args.mechanism,
@@ -247,17 +242,14 @@ def run_cluster_smoke(args) -> SmokeReport:
         submit_job,
     )
     from repro.serve.cluster import LocalCluster
-    from repro.serve.loadgen import hermetic_env
+    from repro.serve.loadgen import HERMETIC_ENV
     from repro.serve.service import expand_sweep, spec_to_dict
     from repro.serve.store import ContentStore
     from repro.sim.parallel import run_cell
 
-    env, engine = hermetic_env(getattr(args, "engine", None))
-    os.environ.update(env)  # the serial oracle must run the same kernel
+    os.environ.update(HERMETIC_ENV)
 
-    report = SmokeReport(
-        clients=args.clients, nodes=args.nodes, engine_backend=engine
-    )
+    report = SmokeReport(clients=args.clients, nodes=args.nodes)
     payload = {
         "workloads": args.workload,
         "mechanisms": args.mechanism,
@@ -272,7 +264,7 @@ def run_cluster_smoke(args) -> SmokeReport:
     job_trace: dict[str, object] = {}
 
     cluster = LocalCluster(
-        root=args.cache_dir, nodes=args.nodes, pools=1, workers=1, env=env
+        root=args.cache_dir, nodes=args.nodes, pools=1, workers=1, env=HERMETIC_ENV
     )
     try:
         with cluster:

@@ -4,7 +4,7 @@
 :class:`~repro.sim.parallel.ResultCache` into a proper store: the same
 on-disk layout (one fsynced, rename-published pickle plus a JSON
 manifest per cell, addressed by the sha-256 of everything that defines
-the result -- spec, engine backend, fault spec, source fingerprint), but
+the result -- spec, fault spec, source fingerprint), but
 with
 
 * a **size bound** -- ``max_entries`` / ``max_bytes`` (or the

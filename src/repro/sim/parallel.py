@@ -30,17 +30,6 @@ Environment knobs:
     How many times a cell lost to a crashed or hung worker is re-run in
     a fresh pool (default ``2``) before degrading to the in-process
     serial path.  Retries back off linearly (0.25 s per attempt).
-``REPRO_ENGINE``
-    Engine backend for every cell (``reference`` or ``batched``, see
-    :mod:`repro.engine`).  Backends are differentially verified to be
-    bit-identical, but the selection still keys the cache and follows
-    cells into pool workers, so a result can always be traced to the
-    backend that produced it.
-``REPRO_BATCH``
-    Cells per worker claim on the pool path (0/unset picks a balanced
-    size).  A worker runs its whole claim through the selected engine
-    backend as one lockstep batch; only cache *misses* are batched --
-    warm cells are served straight from the cache first.
 ``REPRO_CACHE``
     Set to ``0`` to disable the on-disk result cache.
 ``REPRO_CACHE_DIR``
@@ -144,16 +133,10 @@ def _test_fault_hook() -> None:
         time.sleep(3600)
 
 
-def run_cell(spec: CellSpec, engine: str | None = None) -> SimResult:
-    """Run one cell to completion (in the current process) under the
-    selected engine backend's cycle kernel (``REPRO_ENGINE`` when
-    ``engine`` is None)."""
+def run_cell(spec: CellSpec) -> SimResult:
+    """Run one cell to completion in the current process."""
     _test_fault_hook()
-    from repro.engine import core_class
-
-    sim = Simulator(
-        spec.build_programs(), spec.config, core_cls=core_class(engine)
-    )
+    sim = Simulator(spec.build_programs(), spec.config)
     if spec.warm_from is not None:
         # Attach the shared warm state and measure from there; the
         # warmup already happened once, in the checkpoint donor.
@@ -172,25 +155,6 @@ def run_cell(spec: CellSpec, engine: str | None = None) -> SimResult:
         warmup_insts=spec.warmup_insts,
         max_cycles=spec.max_cycles,
     )
-
-
-def run_cell_batch(
-    specs: list[CellSpec], engine: str | None = None
-) -> list[SimResult]:
-    """Run ``specs`` as one engine batch, in spec order.
-
-    This is the batch analogue of :func:`run_cell`: the selected
-    backend (``REPRO_ENGINE`` when ``engine`` is None) advances every
-    cell in lockstep and cells complete raggedly.  Pool workers claim
-    their cells through here, so a worker's whole claim shares one
-    driver loop.
-    """
-    _test_fault_hook()
-    from repro.engine import get_backend
-
-    backend = get_backend(engine)
-    backend.configure(specs)
-    return backend.run()
 
 
 def derive_warm_cells(specs: list[CellSpec]) -> list[CellSpec]:
@@ -264,7 +228,7 @@ def engine_fingerprint() -> str:
 
 
 class ResultCache:
-    """Pickle-per-cell result store keyed by (spec, engine) hashes.
+    """Pickle-per-cell result store keyed by spec and source hashes.
 
     ``REPRO_CACHE=0`` is enforced *here*, inside :meth:`get` and
     :meth:`put` (a disabled cache misses every get and drops every put),
@@ -291,17 +255,8 @@ class ResultCache:
         # REPRO_FAULTS changes results without touching the spec (the
         # core falls back to it when config.faults is empty), so it must
         # key the cache too or faulted runs would be served clean cells.
-        # The engine backend keys it as well: backends are verified
-        # bit-identical, but a cached result must stay traceable to the
-        # kernel that produced it (and a backend bug must never hide
-        # behind another backend's cached cells).
-        from repro.engine import resolve_engine
-
         faults_env = os.environ.get("REPRO_FAULTS", "")
-        token = (
-            f"{engine_fingerprint()}|{faults_env}|{resolve_engine()}|"
-            f"{spec.cache_token()}"
-        )
+        token = f"{engine_fingerprint()}|{faults_env}|{spec.cache_token()}"
         name = hashlib.sha256(token.encode()).hexdigest()[:40]
         return self.directory / f"{name}.pkl"
 
@@ -471,7 +426,6 @@ def _pid_alive(pid: int) -> bool:
 _WORKER_ENV_KEYS = (
     "REPRO_SANITIZE",
     "REPRO_FAULTS",
-    "REPRO_ENGINE",
     "REPRO_TEST_WORKER_FAULT",
 )
 
@@ -543,28 +497,6 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def pool_batch_size(pending: int, workers: int) -> int:
-    """Cells per worker claim: ``REPRO_BATCH`` if set, else balanced.
-
-    The automatic size aims for a few claims per worker (load balance
-    against stragglers) while still giving each claim several cells to
-    amortize one engine driver loop over; a single cell per claim is
-    the floor either way.
-    """
-    raw = os.environ.get("REPRO_BATCH", "").strip()
-    if raw:
-        try:
-            size = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BATCH must be a positive integer, got {raw!r}"
-            ) from None
-        if size < 1:
-            raise ValueError(f"REPRO_BATCH must be positive, got {size}")
-        return size
-    return max(1, min(16, pending // (workers * 4) or 1))
-
-
 def _run_pool_attempt(
     todo: list[CellSpec],
     pending: list[int],
@@ -575,37 +507,26 @@ def _run_pool_attempt(
     """One pool generation: run ``pending`` cells, fill ``out``, and
     return the indices still unfinished (crashed or hung).
 
-    Workers claim *batches* of cells (:func:`pool_batch_size` each) and
-    run every claim through the engine backend as one lockstep batch
-    (:func:`run_cell_batch`).  A worker crash surfaces as
-    ``BrokenProcessPool`` on every outstanding future -- those claims'
-    cells stay pending and the *caller* decides whether another
-    generation is allowed (retries re-batch from whatever is left).
-    With a timeout, each cell still contributes ``timeout`` to its
-    wave's collective deadline; when it passes, whatever is still
-    running is treated as hung and the whole pool is killed (there is
-    no portable way to kill one worker's job without killing the
-    worker).
+    Each worker claim is one cell (:func:`run_cell`).  A worker crash
+    surfaces as ``BrokenProcessPool`` on every outstanding future --
+    those cells stay pending and the *caller* decides whether another
+    generation is allowed.  With a timeout, each wave of ``workers``
+    cells contributes ``timeout`` to the collective deadline; when it
+    passes, whatever is still running is treated as hung and the whole
+    pool is killed (there is no portable way to kill one worker's job
+    without killing the worker).
     """
-    batch_size = pool_batch_size(len(pending), workers)
-    batches = [
-        pending[i : i + batch_size]
-        for i in range(0, len(pending), batch_size)
-    ]
     deadline = None
     if timeout > 0:
-        waves = (len(batches) + workers - 1) // workers
-        deadline = time.monotonic() + timeout * waves * batch_size
+        waves = (len(pending) + workers - 1) // workers
+        deadline = time.monotonic() + timeout * waves
     pool = ProcessPoolExecutor(
-        max_workers=min(workers, len(batches)),
+        max_workers=min(workers, len(pending)),
         initializer=_worker_init,
         initargs=(_worker_env(),),
     )
     try:
-        futures = {
-            pool.submit(run_cell_batch, [todo[i] for i in batch]): batch
-            for batch in batches
-        }
+        futures = {pool.submit(run_cell, todo[i]): i for i in pending}
         not_done = set(futures)
         while not_done:
             remaining = None
@@ -619,15 +540,12 @@ def _run_pool_attempt(
             if not done:
                 break  # timed out inside wait()
             for future in done:
-                batch = futures[future]
                 try:
-                    batch_results = future.result()
+                    out[futures[future]] = future.result()
                 except Exception:
-                    # This claim's worker died (or the pool broke under
-                    # it); leave its cells unfinished for the retry loop.
+                    # This cell's worker died (or the pool broke under
+                    # it); leave it unfinished for the retry loop.
                     continue
-                for idx, result in zip(batch, batch_results):
-                    out[idx] = result
     finally:
         _kill_pool(pool)
     return [i for i in pending if out[i] is None]

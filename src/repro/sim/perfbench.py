@@ -11,12 +11,6 @@ dominated (>95%) by the cycle loop rather than setup.  Construction
 (program build, page-table setup, cache prewarm) is excluded from the
 timed region, and reps are isolated (fresh simulators, collected heap)
 so best-of-N compares like against like.
-
-``--engine`` selects which backend's cycle kernel is measured
-(``REPRO_ENGINE`` by default); ``--engine-compare`` measures the
-reference and batched kernels interleaved and writes
-``BENCH_batched.json`` with the batched-vs-reference speedup, gated by
-``--min-speedup`` in CI.
 """
 
 from __future__ import annotations
@@ -51,15 +45,14 @@ BASELINE_IPS = {
 }
 
 
-def measure_mechanism(mechanism: str, reps: int, core_cls=None) -> float:
+def measure_mechanism(mechanism: str, reps: int) -> float:
     """Best-of-``reps`` suite throughput (user instrs/sec) for one
-    mechanism, optionally under an engine backend's core class.
+    mechanism.
 
     Reps are isolated: every rep builds fresh programs and simulators,
     and starts from a collected heap -- without the collection, garbage
     left by rep N is collector work billed to rep N+1, so best-of-N
-    would quietly favour whichever rep ran first (and, when two engines
-    are interleaved, whichever engine ran first).
+    would quietly favour whichever rep ran first.
     """
     best = 0.0
     for _ in range(reps):
@@ -68,9 +61,7 @@ def measure_mechanism(mechanism: str, reps: int, core_cls=None) -> float:
         seconds = 0.0
         for name in BENCHMARKS:
             config = MachineConfig(mechanism=mechanism, idle_threads=1)
-            sim = Simulator(
-                [BENCHMARKS[name].build(0)], config, core_cls=core_cls
-            )
+            sim = Simulator([BENCHMARKS[name].build(0)], config)
             start = time.perf_counter()
             result = sim.run(
                 user_insts=USER_INSTS,
@@ -88,34 +79,23 @@ def aggregate(per_mechanism: dict[str, float]) -> float:
     return len(per_mechanism) / sum(1.0 / v for v in per_mechanism.values())
 
 
-def _protocol_block(reps: int, engine: str) -> dict:
-    return {
-        "suite": list(BENCHMARKS),
-        "user_insts": USER_INSTS,
-        "warmup_insts": WARMUP_INSTS,
-        "reps_best_of": reps,
-        "engine": engine,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def run(reps: int = 3, engine: str | None = None) -> dict:
-    from repro.engine import core_class, resolve_engine
-
-    engine = resolve_engine(engine)
-    core_cls = core_class(engine)
+def run(reps: int = 3) -> dict:
     per_mechanism = {}
     for mechanism in MECHANISMS:
-        per_mechanism[mechanism] = round(
-            measure_mechanism(mechanism, reps, core_cls), 1
-        )
+        per_mechanism[mechanism] = round(measure_mechanism(mechanism, reps), 1)
         print(f"{mechanism:<14}{per_mechanism[mechanism]:>10.1f} instrs/sec",
               flush=True)
     agg = round(aggregate(per_mechanism), 1)
     base = round(aggregate(BASELINE_IPS), 1)
     report = {
-        "protocol": _protocol_block(reps, engine),
+        "protocol": {
+            "suite": list(BENCHMARKS),
+            "user_insts": USER_INSTS,
+            "warmup_insts": WARMUP_INSTS,
+            "reps_best_of": reps,
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+        },
         "instrs_per_sec": per_mechanism,
         "aggregate": agg,
         "baseline": {
@@ -131,51 +111,6 @@ def run(reps: int = 3, engine: str | None = None) -> dict:
         "aggregate_speedup": round(agg / base, 2),
     }
     return report
-
-
-def run_compare(reps: int = 3) -> dict:
-    """Measure the reference and batched engines interleaved.
-
-    Per mechanism, the reference suite pass and the batched suite pass
-    run back to back (same process, same core, reps isolated), so the
-    speedup column compares equal-resource measurements rather than two
-    runs taken under different machine load.  The top-level
-    ``instrs_per_sec``/``aggregate`` keys hold the *batched* numbers, so
-    the report can also be gated with ``--baseline`` like any other.
-    """
-    from repro.engine import core_class
-
-    batched_cls = core_class("batched")
-    per_ref: dict[str, float] = {}
-    per_bat: dict[str, float] = {}
-    for mechanism in MECHANISMS:
-        per_ref[mechanism] = round(
-            measure_mechanism(mechanism, reps, None), 1
-        )
-        per_bat[mechanism] = round(
-            measure_mechanism(mechanism, reps, batched_cls), 1
-        )
-        print(
-            f"{mechanism:<14}reference {per_ref[mechanism]:>10.1f}  "
-            f"batched {per_bat[mechanism]:>10.1f} instrs/sec  "
-            f"(x{per_bat[mechanism] / per_ref[mechanism]:.2f})",
-            flush=True,
-        )
-    agg_ref = round(aggregate(per_ref), 1)
-    agg_bat = round(aggregate(per_bat), 1)
-    return {
-        "protocol": _protocol_block(reps, "batched-vs-reference"),
-        "instrs_per_sec": per_bat,
-        "aggregate": agg_bat,
-        "reference": {
-            "instrs_per_sec": per_ref,
-            "aggregate": agg_ref,
-        },
-        "speedup_vs_reference": {
-            mech: round(per_bat[mech] / per_ref[mech], 2) for mech in per_bat
-        },
-        "aggregate_speedup_vs_reference": round(agg_bat / agg_ref, 3),
-    }
 
 
 def check_gate(
@@ -238,25 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         "--reps", type=int, default=3, help="best-of repetitions (default 3)"
     )
     parser.add_argument(
-        "--output",
-        default=None,
-        help="output path (default BENCH_engine.json, or "
-        "BENCH_batched.json with --engine-compare)",
-    )
-    parser.add_argument(
-        "--engine", default=None, metavar="NAME",
-        help="engine backend to measure (reference|batched; default "
-        "$REPRO_ENGINE, else reference)",
-    )
-    parser.add_argument(
-        "--engine-compare", action="store_true",
-        help="measure reference and batched interleaved and report the "
-        "batched-vs-reference speedup",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=None, metavar="FACTOR",
-        help="with --engine-compare: exit 1 unless the batched engine's "
-        "aggregate throughput is at least FACTOR times the reference's",
+        "--output", default="BENCH_engine.json",
+        help="output path (default BENCH_engine.json)",
     )
     parser.add_argument(
         "--baseline", metavar="FILE", default=None,
@@ -276,39 +194,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 0 <= args.max_drop < 1:
         parser.error(f"--max-drop must be in [0, 1), got {args.max_drop}")
-    if args.min_speedup is not None and not args.engine_compare:
-        parser.error("--min-speedup requires --engine-compare")
-    if args.engine_compare and args.engine:
-        parser.error("--engine-compare measures both engines; drop --engine")
-    output = args.output
-    gate_failed = False
-    if args.engine_compare:
-        output = output or "BENCH_batched.json"
-        report = run_compare(reps=args.reps)
-        speedup = report["aggregate_speedup_vs_reference"]
-        line = (
-            f"\nbatched {report['aggregate']:.1f} vs reference "
-            f"{report['reference']['aggregate']:.1f} instrs/sec "
-            f"(x{speedup:.3f} aggregate)"
-        )
-        if args.min_speedup is not None:
-            ok = speedup >= args.min_speedup
-            gate_failed = not ok
-            line += (
-                f" -- gate >= x{args.min_speedup:.2f}: "
-                f"{'PASS' if ok else 'FAIL'}"
-            )
-        print(line + f" -> {output}")
-    else:
-        output = output or "BENCH_engine.json"
-        report = run(reps=args.reps, engine=args.engine)
-        print(f"\naggregate {report['aggregate']:.1f} instrs/sec "
-              f"({report['aggregate_speedup']:.2f}x baseline) -> {output}")
-    with open(output, "w") as fh:
+    report = run(reps=args.reps)
+    print(f"\naggregate {report['aggregate']:.1f} instrs/sec "
+          f"({report['aggregate_speedup']:.2f}x baseline) -> {args.output}")
+    with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     if args.baseline is None:
-        return 1 if gate_failed else 0
+        return 0
     with open(args.baseline) as fh:
         baseline = json.load(fh)
     rows, ok = check_gate(report, baseline, args.max_drop)
@@ -318,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     if summary_path:
         with open(summary_path, "a") as fh:
             fh.write(summary + "\n")
-    return 0 if ok and not gate_failed else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -86,7 +86,6 @@ class Simulator:
         programs: Program | list[Program],
         config: MachineConfig | None = None,
         listeners: "EventBus | None" = None,
-        core_cls: type[SMTCore] | None = None,
     ) -> None:
         if isinstance(programs, Program):
             programs = [programs]
@@ -114,9 +113,7 @@ class Simulator:
                 self.itlb = TLB(self.config.itlb_entries)
         self.bpu = BranchPredictionUnit()
         self.mechanism = make_mechanism(self.config.mechanism)
-        # The engine seam: backends (repro.engine) inject their own core
-        # class here; the default is the reference cycle kernel.
-        self.core = (core_cls or SMTCore)(
+        self.core = SMTCore(
             self.config,
             self.memory,
             self.hierarchy,

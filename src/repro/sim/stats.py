@@ -30,7 +30,7 @@ class SimStats:
     # Per-cause exception accounting (docs/SCENARIOS.md), keyed by the
     # exception-cause string ("dtlb_miss", "itlb_miss", "unaligned",
     # "emul", "brev", "swint").  Maintained by the mechanisms, which see
-    # every trap regardless of which engine kernel is driving the core.
+    # every trap.
     cause_taken: dict[str, int] = field(default_factory=dict)
     cause_squashes: dict[str, int] = field(default_factory=dict)
     cause_handler_cycles: dict[str, int] = field(default_factory=dict)

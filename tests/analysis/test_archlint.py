@@ -88,90 +88,24 @@ class TestShippedTree:
 
 
 class TestStaticPassLayering:
-    """analysis/parity.py and analysis/restart.py must stay AST-only."""
+    """analysis/restart.py must stay AST-only."""
 
     def _lint(self, tmp_path, rel, source):
         path = tmp_path / Path(rel).name
         path.write_text(source)
         return check_file(path, Path(rel))
 
-    def test_parity_importing_engine_is_flagged(self, tmp_path):
-        diags = self._lint(
-            tmp_path, "analysis/parity.py", "from repro.engine import core\n"
-        )
-        assert [d.code for d in diags] == ["layering-static-pass"]
-        assert diags[0].is_error
-
     def test_restart_importing_pipeline_is_flagged(self, tmp_path):
         diags = self._lint(
             tmp_path, "analysis/restart.py", "import repro.pipeline.core\n"
         )
         assert [d.code for d in diags] == ["layering-static-pass"]
+        assert diags[0].is_error
 
     def test_isa_imports_remain_allowed(self, tmp_path):
         diags = self._lint(
             tmp_path,
             "analysis/restart.py",
             "from repro.isa.instructions import Instruction\n",
-        )
-        assert diags == []
-
-
-class TestSoaDeclarationRule:
-    def _lint(self, tmp_path, source):
-        path = tmp_path / "batched.py"
-        path.write_text(source)
-        return check_file(path, Path("engine/batched.py"))
-
-    def test_missing_soa_columns_is_flagged(self, tmp_path):
-        diags = self._lint(
-            tmp_path,
-            "class SweepBatch:\n    __slots__ = ('pcs',)\n"
-            "    def __init__(self):\n        self.pcs = []\n",
-        )
-        assert "missing-soa-columns" in {d.code for d in diags}
-
-    def test_declared_columns_pass(self, tmp_path):
-        diags = self._lint(
-            tmp_path,
-            "class SweepBatch:\n"
-            "    __slots__ = ('pcs',)\n"
-            "    _SOA_COLUMNS = ('pcs',)\n"
-            "    def __init__(self):\n        self.pcs = []\n",
-        )
-        assert diags == []
-
-    def test_declaring_nonexistent_column_is_flagged(self, tmp_path):
-        diags = self._lint(
-            tmp_path,
-            "class SweepBatch:\n"
-            "    __slots__ = ('pcs',)\n"
-            "    _SOA_COLUMNS = ('pcs', 'ghost')\n"
-            "    def __init__(self):\n        self.pcs = []\n",
-        )
-        assert "soa-declaration" in {d.code for d in diags}
-
-
-class TestLedgerSyntaxRule:
-    def _lint(self, tmp_path, source, rel="engine/core.py"):
-        path = tmp_path / Path(rel).name
-        path.write_text(source)
-        return check_file(path, Path(rel))
-
-    def test_wellformed_ledger_entry_passes(self, tmp_path):
-        diags = self._lint(
-            tmp_path, "# parity: elided(listeners.fetch, fused path bails)\n"
-        )
-        assert diags == []
-
-    def test_malformed_ledger_entry_is_flagged(self, tmp_path):
-        diags = self._lint(tmp_path, "# parity: elided listeners.fetch\n")
-        assert [d.code for d in diags] == ["parity-ledger-syntax"]
-
-    def test_rule_scoped_to_engine_package(self, tmp_path):
-        # parity.py's own docstring quotes ledger examples; the syntax
-        # rule must not police packages other than engine/.
-        diags = self._lint(
-            tmp_path, "# parity: elided nonsense\n", rel="pipeline/core.py"
         )
         assert diags == []

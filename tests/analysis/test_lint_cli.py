@@ -77,15 +77,6 @@ class TestTargets:
 
 
 class TestNewSubcommands:
-    def test_parity_subcommand_is_clean(self, capsys):
-        assert main(["parity"]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_parity_selftest(self, capsys):
-        assert main(["parity", "--selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "selftest" in out
-
     def test_restart_subcommand_is_clean(self, capsys):
         assert main(["restart"]) == 0
         assert "clean" in capsys.readouterr().out
@@ -95,7 +86,7 @@ class TestNewSubcommands:
         assert main(["restart", str(bad)]) == 1
         assert "restart-no-reti" in capsys.readouterr().out
 
-    def test_default_sweep_runs_all_four_passes(self, capsys):
+    def test_default_sweep_runs_every_pass(self, capsys):
         assert main([]) == 0
         assert "clean" in capsys.readouterr().out
 

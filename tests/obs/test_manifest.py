@@ -36,24 +36,11 @@ class TestBuildAndValidate:
         write_manifest(str(path), manifest)
         assert validate_manifest(json.loads(path.read_text())) == []
 
-    def test_manifest_records_engine_backend(self, monkeypatch):
-        sim, result, _ = _run()
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert build_manifest(result, sim.config)["engine_backend"] == (
-            "reference"
-        )
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        assert build_manifest(result, sim.config)["engine_backend"] == (
-            "batched"
-        )
-
-    def test_validator_requires_engine_backend(self):
+    def test_validator_requires_engine_fingerprint(self):
         sim, result, _ = _run()
         manifest = build_manifest(result, sim.config)
-        del manifest["engine_backend"]
-        assert any(
-            "engine_backend" in p for p in validate_manifest(manifest)
-        )
+        del manifest["engine"]
+        assert any("engine" in p for p in validate_manifest(manifest))
 
     def test_counters_carry_every_sim_stat(self):
         sim, result, _ = _run()

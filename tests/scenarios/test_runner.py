@@ -1,11 +1,10 @@
 """End-to-end scenario runs: mixed-cause traps under the sanitizer
-across every mechanism, digest-checked against the perfect machine and
-bit-identical between the two engine kernels."""
+across every mechanism, digest-checked against the perfect machine."""
 
 import pytest
 
 from repro.faults.fuzz import MECHANISMS
-from repro.scenarios.runner import ENGINES, run_matrix, run_scenario
+from repro.scenarios.runner import run_matrix, run_scenario
 from repro.scenarios.spec import (
     SCENARIO_CAUSES,
     ScenarioSpec,
@@ -32,7 +31,7 @@ def _small_spec(mix, seed=11):
 @pytest.mark.parametrize("mix", ("back_to_back", "nested"))
 def test_mixed_cause_traps_agree_everywhere(mix, monkeypatch):
     """Satellite coverage: nested and back-to-back mixed-cause traps,
-    REPRO_SANITIZE=1, all five mechanisms, both engine kernels."""
+    REPRO_SANITIZE=1, all five mechanisms."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     result = run_scenario(_small_spec(mix), max_cycles=600_000)
     assert result.ok, result.failures
@@ -43,18 +42,13 @@ def test_mixed_cause_traps_agree_everywhere(mix, monkeypatch):
     assert set(by_mech) == set(MECHANISMS)
 
     for mechanism in TRAPPING:
-        runs = [r for r in by_mech[mechanism] if r.engine in ENGINES]
-        assert len(runs) == len(ENGINES)
-        for run in runs:
-            # Every requested cause actually fired and was attributed.
-            for cause in SCENARIO_CAUSES:
-                taken, _, handler_cycles = run.attribution[cause]
-                assert taken > 0, (mechanism, run.engine, cause)
-                assert handler_cycles > 0, (mechanism, run.engine, cause)
-        # The engine-identity check already ran inside run_scenario;
-        # spot-check the invariant it enforces anyway.
-        ref, bat = runs[0], runs[1]
-        assert (ref.cycles, ref.digest) == (bat.cycles, bat.digest)
+        (run,) = by_mech[mechanism]
+        # Every requested cause actually fired and was attributed.
+        for cause in SCENARIO_CAUSES:
+            taken, _, handler_cycles = run.attribution[cause]
+            assert taken > 0, (mechanism, cause)
+            assert handler_cycles > 0, (mechanism, cause)
+        assert run.digest == by_mech["perfect"][0].digest
 
 
 def test_perfect_machine_never_traps():
@@ -90,7 +84,6 @@ def test_run_matrix_collects_every_spec():
     results = run_matrix(
         small,
         mechanisms=("traditional",),
-        engines=("batched",),
         max_cycles=600_000,
         log=seen.append,
     )

@@ -171,7 +171,6 @@ class TestResolution:
         def boom(*args, **kwargs):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr(service_mod, "run_cell_batch", boom)
         monkeypatch.setattr(service_mod, "run_cell", boom)
         service = make_service(tmp_path)
         spec = make_spec()

@@ -204,7 +204,11 @@ class TestJobs:
 
 class TestSanitizePropagation:
     def test_worker_init_sets_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        # setenv first so the undo restores the original value: delenv
+        # alone records nothing when the variable is unset, which would
+        # leak REPRO_SANITIZE=1 into every later test.
+        monkeypatch.setenv("REPRO_SANITIZE", "")
+        monkeypatch.delenv("REPRO_SANITIZE")
         _worker_init({"REPRO_SANITIZE": "1"})
         assert os.environ["REPRO_SANITIZE"] == "1"
 

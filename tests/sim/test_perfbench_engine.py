@@ -1,91 +1,9 @@
-"""Perfbench engine plumbing: rep isolation, the compare report shape,
-and the CLI flag contracts (no real benchmarking here -- measurement is
-monkeypatched so these stay fast and deterministic)."""
-
-import json
+"""Perfbench kernel measurement: rep isolation (no real benchmarking
+here -- measurement is monkeypatched so this stays fast)."""
 
 import pytest
 
 import repro.sim.perfbench as perfbench
-from repro.sim.config import MECHANISMS
-
-
-def _fake_measure(values):
-    def measure(mechanism, reps, core_cls=None):
-        # Reference (core_cls None) measures slower than the batched
-        # kernel in this canned world.
-        base = values[mechanism]
-        return base if core_cls is None else base * 2.0
-
-    return measure
-
-
-@pytest.fixture
-def canned(monkeypatch):
-    values = {mech: 10_000.0 + i for i, mech in enumerate(MECHANISMS)}
-    monkeypatch.setattr(perfbench, "measure_mechanism", _fake_measure(values))
-    return values
-
-
-class TestRunCompare:
-    def test_report_shape(self, canned):
-        report = perfbench.run_compare(reps=1)
-        assert report["protocol"]["engine"] == "batched-vs-reference"
-        assert report["protocol"]["reps_best_of"] == 1
-        # Top-level numbers are the batched ones so --baseline gating
-        # applies to the new kernel.
-        assert set(report["instrs_per_sec"]) == set(MECHANISMS)
-        for mech in MECHANISMS:
-            assert report["instrs_per_sec"][mech] == pytest.approx(
-                2 * report["reference"]["instrs_per_sec"][mech]
-            )
-            assert report["speedup_vs_reference"][mech] == pytest.approx(2.0)
-        assert report["aggregate_speedup_vs_reference"] == pytest.approx(2.0)
-
-    def test_run_records_engine_in_protocol(self, canned):
-        report = perfbench.run(reps=1, engine="batched")
-        assert report["protocol"]["engine"] == "batched"
-
-
-class TestCli:
-    def test_min_speedup_requires_engine_compare(self, capsys):
-        with pytest.raises(SystemExit):
-            perfbench.main(["--min-speedup", "1.5"])
-
-    def test_engine_compare_conflicts_with_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            perfbench.main(["--engine-compare", "--engine", "batched"])
-
-    def test_engine_compare_gate_pass_and_fail(
-        self, canned, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "BENCH_batched.json"
-        assert (
-            perfbench.main(
-                ["--engine-compare", "--min-speedup", "1.5",
-                 "--output", str(out)]
-            )
-            == 0
-        )
-        report = json.loads(out.read_text())
-        assert report["aggregate_speedup_vs_reference"] == pytest.approx(2.0)
-        assert "PASS" in capsys.readouterr().out
-        assert (
-            perfbench.main(
-                ["--engine-compare", "--min-speedup", "2.5",
-                 "--output", str(out)]
-            )
-            == 1
-        )
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_engine_compare_default_output_name(
-        self, canned, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        perfbench.main(["--engine-compare"])
-        assert (tmp_path / "BENCH_batched.json").exists()
 
 
 class TestRepIsolation:
